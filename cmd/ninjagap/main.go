@@ -31,10 +31,6 @@
 //	             earlier run sharing D are served from disk (see
 //	             docs/OPERATIONS.md); prints a cache-traffic summary
 //	             to stderr after the run
-//	-macroblock M  macro-block engine mode: on, off, or auto (default
-//	             auto). Output is bit-identical across modes; the flag
-//	             exists for byte-diff validation and simulator-
-//	             performance work
 //	-cpuprofile FILE  write a CPU profile of the whole run
 //	-memprofile FILE  write a heap profile at exit
 //	-bench list  comma-separated benchmark subset
@@ -44,6 +40,7 @@
 //	-out FILE    write output to FILE instead of stdout
 //	             (bench-export default: BENCH_results.json)
 //	-machine M   machine for `run` (default WestmereX980)
+//	-version V   version for `run` (default naive)
 //	-n N         problem size for `run` (default benchmark's evaluation size)
 //	-machines A,B  machine subset for `submit` (default all presets)
 //	-versions V,W  version subset for `submit` (default naive,autovec,pragma)
@@ -86,14 +83,7 @@ func main() {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to `file`")
 	cacheDir := fs.String("cache-dir", "", "persistent measurement cache directory (warm restarts)")
-	macroblock := fs.String("macroblock", "auto", "macro-block engine mode: on, off, or auto (bit-identical output; wall-clock only)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
-	}
-	switch *macroblock {
-	case "on", "off", "auto", "":
-	default:
-		fmt.Fprintf(os.Stderr, "ninjagap: invalid -macroblock mode %q (want on, off or auto)\n", *macroblock)
 		os.Exit(2)
 	}
 	scale, err := ninjagap.ParseScale(*scaleArg)
@@ -140,7 +130,7 @@ func main() {
 		}()
 	}
 
-	cfg := ninjagap.Config{Scale: scale, Jobs: *jobs, Macroblock: *macroblock}
+	cfg := ninjagap.Config{Scale: scale, Jobs: *jobs}
 	if *benches != "" {
 		cfg.Benches = strings.Split(*benches, ",")
 	}
@@ -413,5 +403,5 @@ commands: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 ablate all
 flags:    -scale F|smoke|small|medium|full  -bench a,b,c  -jobs N  -json
           -format text|json|csv  -out FILE  -machine M  -version V  -n N
           -machines A,B  -versions V,W  -cache-dir DIR
-          -macroblock on|off|auto  -cpuprofile FILE  -memprofile FILE`)
+          -cpuprofile FILE  -memprofile FILE`)
 }

@@ -36,12 +36,10 @@ type Options struct {
 	// identity.
 	NoFuse bool
 
-	// Macroblock selects the macro-block (characterize-and-replay) execution
-	// mode for affine inner loops: "off" never replays, "on" replays every
-	// eligible loop, "auto" (also the "" zero value) replays eligible loops
-	// whose full-vector trip count is at least mbAutoMinTrip. Replay is
-	// bit-identical to full interpretation by construction; the mode only
-	// changes wall-clock time. Any other value is an error.
+	// Macroblock is ignored.
+	//
+	// Deprecated: the engine has a single interpreted execution path; the
+	// field remains only so existing callers keep compiling.
 	Macroblock string
 }
 

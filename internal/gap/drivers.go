@@ -174,16 +174,14 @@ func Dispatch(id string, cfg Config) (Output, error) {
 
 // wallclockCSV flattens a snapshot's wallclock records.
 func wallclockCSV(w *report.Wallclock) string {
-	t := report.NewTable("", "bench", "version", "machine", "n", "macroblock",
+	t := report.NewTable("", "bench", "version", "machine", "n",
 		"runs", "wall_seconds", "sim_instrs", "cells_per_sec",
-		"sim_instrs_per_sec", "fused_frac", "replay_frac")
+		"sim_instrs_per_sec", "fused_frac")
 	for _, r := range w.Records {
 		t.Add(r.Bench, r.Version, r.Machine, fmt.Sprintf("%d", r.N),
-			r.Macroblock,
 			fmt.Sprintf("%d", r.Runs), fmt.Sprintf("%g", r.WallSeconds),
 			fmt.Sprintf("%d", r.SimInstrs), fmt.Sprintf("%g", r.CellsPerSec),
-			fmt.Sprintf("%g", r.SimInstrsPerSec),
-			fmt.Sprintf("%g", r.FusedFrac), fmt.Sprintf("%g", r.ReplayFrac))
+			fmt.Sprintf("%g", r.SimInstrsPerSec), fmt.Sprintf("%g", r.FusedFrac))
 	}
 	return t.CSV()
 }

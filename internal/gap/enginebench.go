@@ -48,19 +48,19 @@ func EngineBench(cfg Config) (*report.Snapshot, error) {
 	}
 	var totalWall float64
 	var totalRuns int
-	var totalInstrs, totalFused, totalReplay float64
+	var totalInstrs, totalFused float64
 	for _, b := range bs {
 		n := SizeFor(b, cfg)
 		for _, v := range vs {
-			c := Cell{Bench: b, Version: v, Machine: m, N: n, Macroblock: cfg.Macroblock}
+			c := Cell{Bench: b, Version: v, Machine: m, N: n}
 			threads := c.threads()
 			var wall float64
 			var instrs uint64
-			// The process-wide dispatch counters, sampled around the timed
-			// rounds, yield the cell's exact fused/replayed instruction
-			// counts (engine-bench runs cells serially, so the deltas are
+			// The process-wide fused-dispatch counter, sampled around the
+			// timed rounds, yields the cell's exact fused instruction count
+			// (engine-bench runs cells serially, so the delta is
 			// attributable to this cell alone).
-			fused0, replay0 := exec.FusedInstrs(), exec.ReplayedInstrs()
+			fused0 := exec.FusedInstrs()
 			for r := 0; r < engineBenchRounds; r++ {
 				if err := cfg.context().Err(); err != nil {
 					return nil, err
@@ -73,7 +73,7 @@ func EngineBench(cfg Config) (*report.Snapshot, error) {
 				}
 				start := time.Now()
 				res, err := exec.Run(inst.Prog, inst.Arrays, m,
-					exec.Options{Threads: threads, Macroblock: c.macroblock()})
+					exec.Options{Threads: threads})
 				wall += time.Since(start).Seconds()
 				if err != nil {
 					return nil, err
@@ -81,37 +81,32 @@ func EngineBench(cfg Config) (*report.Snapshot, error) {
 				instrs = res.DynInstrs
 			}
 			den := float64(instrs) * float64(engineBenchRounds)
-			var fusedFrac, replayFrac float64
+			var fusedFrac float64
 			if den > 0 {
 				fusedFrac = float64(exec.FusedInstrs()-fused0) / den
-				replayFrac = float64(exec.ReplayedInstrs()-replay0) / den
 			}
 			wc.Records = append(wc.Records, report.WallclockRecord{
 				Bench:           b.Name(),
 				Version:         v.String(),
 				Machine:         m.Name,
 				N:               n,
-				Macroblock:      c.macroblock(),
 				Runs:            engineBenchRounds,
 				WallSeconds:     wall,
 				SimInstrs:       instrs,
 				CellsPerSec:     float64(engineBenchRounds) / wall,
 				SimInstrsPerSec: float64(instrs) * float64(engineBenchRounds) / wall,
 				FusedFrac:       fusedFrac,
-				ReplayFrac:      replayFrac,
 			})
 			totalWall += wall
 			totalRuns += engineBenchRounds
 			totalInstrs += float64(instrs) * float64(engineBenchRounds)
 			totalFused += float64(exec.FusedInstrs() - fused0)
-			totalReplay += float64(exec.ReplayedInstrs() - replay0)
 		}
 	}
 	wc.Summary["cells_per_sec"] = float64(totalRuns) / totalWall
 	wc.Summary["sim_instrs_per_sec"] = totalInstrs / totalWall
 	if totalInstrs > 0 {
 		wc.Summary["fused_frac"] = totalFused / totalInstrs
-		wc.Summary["replay_frac"] = totalReplay / totalInstrs
 	}
 	snap.Wallclock = wc
 	return snap, nil

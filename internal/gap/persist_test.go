@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"ninjagap/internal/kernels"
@@ -203,6 +204,35 @@ func TestDiskCacheWrongSchema(t *testing.T) {
 			t.Fatal("schema tag not found in entry")
 		}
 		if err := s.Put(key, tampered); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestDiskCacheV2EntryIsMiss: an intact entry written under the v2 layout
+// (which carried a macro-block mode field) is a miss, whether it sits at
+// its own v2 address or at the v3 address of the same cell.
+func TestDiskCacheV2EntryIsMiss(t *testing.T) {
+	corruptionCase(t, func(t *testing.T, s *store.Store, key string, entry []byte) {
+		f := strings.Split(key, "|")
+		if f[0] != "ninjagap-cell/v3" {
+			t.Fatalf("key %q is not a v3 key", key)
+		}
+		f[0] = "ninjagap-cell/v2"
+		v2Key := strings.Join(append(f[:len(f)-2:len(f)-2], "auto", f[len(f)-2], f[len(f)-1]), "|")
+		var e cellEntry
+		if err := json.Unmarshal(entry, &e); err != nil {
+			t.Fatal(err)
+		}
+		e.Schema, e.Key = "ninjagap-cell/v2", v2Key
+		v2, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(v2Key, v2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(key, v2); err != nil {
 			t.Fatal(err)
 		}
 	})

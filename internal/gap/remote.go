@@ -30,9 +30,14 @@ type CellSpec struct {
 	Machine         json.RawMessage `json:"machine"`
 	N               int             `json:"n"`
 	Threads         int             `json:"threads,omitempty"`
-	Macroblock      string          `json:"macroblock,omitempty"`
 	DisablePrefetch bool            `json:"disable_prefetch,omitempty"`
 	SkipCheck       bool            `json:"skip_check,omitempty"`
+
+	// Macroblock is ignored and never sent.
+	//
+	// Deprecated: the engine has a single interpreted execution path; the
+	// field remains only so existing callers keep compiling.
+	Macroblock string `json:"-"`
 
 	// Source, when non-empty, is the canonical source of a user-submitted
 	// kernel (kernels.Submitted): Bench then names no registered
@@ -76,7 +81,6 @@ func (c Cell) spec(skipCheck bool) (CellSpec, error) {
 		Machine:         mb,
 		N:               c.N,
 		Threads:         c.Threads,
-		Macroblock:      c.macroblock(),
 		DisablePrefetch: c.DisablePrefetch,
 		SkipCheck:       skipCheck,
 	}
@@ -120,8 +124,7 @@ func (s CellSpec) cell() (Cell, error) {
 	}
 	return Cell{
 		Bench: b, Version: v, Machine: m, N: s.N,
-		Threads: s.Threads, Macroblock: s.Macroblock,
-		DisablePrefetch: s.DisablePrefetch,
+		Threads: s.Threads, DisablePrefetch: s.DisablePrefetch,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package gap
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -29,12 +30,6 @@ type Cell struct {
 	Threads int
 	// DisablePrefetch turns the hardware prefetcher off (ablation E9).
 	DisablePrefetch bool
-	// Macroblock selects the engine's macro-block execution mode ("on",
-	// "off", "auto"; "" = "auto"). Replay is bit-identical to full
-	// interpretation, so the mode cannot change any measured number — it
-	// is still part of the cell identity (normalized, see key) so cached
-	// entries record exactly how they were produced.
-	Macroblock string
 }
 
 // key forms the memo-cache identity of the cell. The effective thread
@@ -49,19 +44,8 @@ func (c Cell) key(skipCheck bool) cellKey {
 		N:          c.N,
 		Threads:    c.threads(),
 		NoPrefetch: c.DisablePrefetch,
-		Macroblock: c.macroblock(),
 		Skip:       skipCheck,
 	}
-}
-
-// macroblock resolves the effective macro-block mode, normalizing the ""
-// zero value to "auto" (exec treats them identically) so a default cell
-// and an explicit auto cell share one cache entry.
-func (c Cell) macroblock() string {
-	if c.Macroblock == "" {
-		return "auto"
-	}
-	return c.Macroblock
 }
 
 // threads resolves the effective thread count: serial versions run one
@@ -95,8 +79,7 @@ func measureCell(ctx context.Context, c Cell, skipCheck bool) (*Measurement, err
 	}
 	threads := c.threads()
 	res, err := exec.Run(inst.Prog, inst.Arrays, c.Machine,
-		exec.Options{Threads: threads, DisablePrefetch: c.DisablePrefetch,
-			Macroblock: c.macroblock()})
+		exec.Options{Threads: threads, DisablePrefetch: c.DisablePrefetch})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s on %s: %w", c.Bench.Name(), c.Version, c.Machine.Name, err)
 	}
@@ -124,9 +107,6 @@ type Scheduler struct {
 	memo      *Memo
 	skipCheck bool
 	remote    Remote
-	// macroblock is the default engine execution mode stamped onto cells
-	// that do not set one themselves (see Config.Macroblock).
-	macroblock string
 }
 
 // NewScheduler builds a scheduler with its own memo cache. jobs bounds
@@ -144,7 +124,6 @@ func NewScheduler(jobs int, memo *Memo, skipCheck bool) *Scheduler {
 func (c Config) scheduler() *Scheduler {
 	s := NewScheduler(c.Jobs, sharedMemo, c.SkipCheck)
 	s.remote = c.remote
-	s.macroblock = c.Macroblock
 	return s
 }
 
@@ -170,9 +149,6 @@ func (s *Scheduler) workers(n int) int {
 // so a dead or drained fleet never fails a run it could have computed
 // itself.
 func (s *Scheduler) measure(ctx context.Context, c Cell) (*Measurement, error) {
-	if c.Macroblock == "" {
-		c.Macroblock = s.macroblock // "" stays "" -> normalized to "auto" in key
-	}
 	key := c.key(s.skipCheck)
 	return s.memo.do(ctx, key, func() (*Measurement, error) {
 		if s.remote != nil {
@@ -226,10 +202,40 @@ func getErrs(n int) *[]error {
 	return &s
 }
 
+// checkNames rejects a batch in which two distinct Benchmark values share
+// a Name(). The memo key identifies a benchmark by name, so the second
+// would silently be served the first one's measurement.
+func checkNames(cells []Cell) error {
+	if len(cells) < 2 {
+		return nil
+	}
+	seen := make(map[string]kernels.Benchmark)
+	for _, c := range cells {
+		name := c.Bench.Name()
+		prev, ok := seen[name]
+		if !ok {
+			seen[name] = c.Bench
+			continue
+		}
+		if !sameBench(prev, c.Bench) {
+			return fmt.Errorf("gap: two distinct benchmarks in one batch are named %q", name)
+		}
+	}
+	return nil
+}
+
+// sameBench reports whether a and b are the same Benchmark value. Values
+// of a non-comparable type are never the same (== would panic on them).
+func sameBench(a, b kernels.Benchmark) bool {
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && t.Comparable() && a == b
+}
+
 // Run measures every cell and returns results in cell order: results[i]
 // belongs to cells[i]. The first failing cell (by input order) cancels
 // the remaining work via ctx and is returned as the error; cells already
-// in flight finish, cells not yet started are skipped.
+// in flight finish, cells not yet started are skipped. A batch holding two
+// distinct benchmarks with one name fails before any cell runs.
 func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -237,6 +243,9 @@ func (s *Scheduler) Run(ctx context.Context, cells []Cell) ([]*Measurement, erro
 	results := make([]*Measurement, len(cells))
 	if len(cells) == 0 {
 		return results, nil
+	}
+	if err := checkNames(cells); err != nil {
+		return nil, err
 	}
 	errsp := getErrs(len(cells))
 	defer errsPool.Put(errsp)

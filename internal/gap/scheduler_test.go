@@ -3,6 +3,7 @@ package gap
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -22,12 +23,15 @@ func (c *countingBench) Prepare(v kernels.Version, m *machine.Machine, n int) (*
 	return c.Benchmark.Prepare(v, m, n)
 }
 
-// failingBench errors on Prepare.
+// failingBench errors on Prepare. It has its own name so its cells never
+// share a memo key with the benchmark it wraps.
 type failingBench struct {
 	kernels.Benchmark
 }
 
 var errBoom = errors.New("boom")
+
+func (f *failingBench) Name() string { return "failing" }
 
 func (f *failingBench) Prepare(kernels.Version, *machine.Machine, int) (*kernels.Instance, error) {
 	return nil, errBoom
@@ -188,6 +192,35 @@ func TestSchedulerErrorCancels(t *testing.T) {
 	_, err = NewScheduler(4, NewMemo(), false).Run(context.Background(), cells)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("got %v, want errBoom", err)
+	}
+}
+
+// TestSchedulerRejectsDuplicateNames checks that two distinct benchmarks
+// sharing a Name() in one batch fail the batch, naming the benchmark,
+// before either is measured — while the same benchmark value repeated is
+// fine.
+func TestSchedulerRejectsDuplicateNames(t *testing.T) {
+	base, err := kernels.ByName("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &countingBench{Benchmark: base}, &countingBench{Benchmark: base}
+	m := machine.WestmereX980()
+	n := LegalN(base, base.TestN())
+	cells := []Cell{
+		{Bench: a, Version: kernels.Naive, Machine: m, N: n},
+		{Bench: a, Version: kernels.Pragma, Machine: m, N: n},
+		{Bench: b, Version: kernels.Ninja, Machine: m, N: n},
+	}
+	_, err = NewScheduler(2, NewMemo(), false).Run(context.Background(), cells)
+	if err == nil || !strings.Contains(err.Error(), `"blackscholes"`) {
+		t.Fatalf("got %v, want an error naming blackscholes", err)
+	}
+	if got := a.prepares.Load() + b.prepares.Load(); got != 0 {
+		t.Errorf("Prepare called %d times on a rejected batch, want 0", got)
+	}
+	if _, err := NewScheduler(2, NewMemo(), false).Run(context.Background(), cells[:2]); err != nil {
+		t.Errorf("repeated benchmark value rejected: %v", err)
 	}
 }
 

@@ -110,10 +110,6 @@ type WallclockRecord struct {
 	Version string `json:"version"`
 	Machine string `json:"machine"`
 	N       int    `json:"n"`
-	// Macroblock records the engine execution mode the timing ran under
-	// ("auto", "on", "off") — simulated numbers are identical across
-	// modes, wall-clock rates are not.
-	Macroblock string `json:"macroblock,omitempty"`
 	// Runs is how many back-to-back executions the wall time covers.
 	Runs int `json:"runs"`
 	// WallSeconds is the total host wall-clock time of Runs executions
@@ -126,15 +122,11 @@ type WallclockRecord struct {
 	// (Runs/WallSeconds and SimInstrs*Runs/WallSeconds).
 	CellsPerSec     float64 `json:"cells_per_sec"`
 	SimInstrsPerSec float64 `json:"sim_instrs_per_sec"`
-	// FusedFrac and ReplayFrac decompose how the engine executed the
-	// cell's dynamic instructions: the fraction dispatched through fused
-	// superinstruction handlers, and the fraction covered analytically by
-	// macro-block replay instead of interpretation. Both are exact counts
-	// over the timed rounds divided by SimInstrs*Runs; they explain the
-	// wall-clock rate (replayed instructions are far cheaper than
-	// interpreted ones) without affecting any simulated number.
-	FusedFrac  float64 `json:"fused_frac"`
-	ReplayFrac float64 `json:"replay_frac"`
+	// FusedFrac is the fraction of the cell's dynamic instructions
+	// dispatched through fused superinstruction handlers: an exact count
+	// over the timed rounds divided by SimInstrs*Runs. It helps explain
+	// the wall-clock rate without affecting any simulated number.
+	FusedFrac float64 `json:"fused_frac"`
 }
 
 // Wallclock is the simulator-performance section of a snapshot, written

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,7 +180,7 @@ func testCellEntry(t *testing.T) (gap.CellSpec, string, []byte) {
 	return spec, e.Key, entry
 }
 
-// fakeWorker replays a canned entry, optionally stalling or failing, so
+// fakeWorker serves a canned entry, optionally stalling or failing, so
 // pool dispatch behavior is testable without timing on real simulations.
 type fakeWorker struct {
 	srv   *httptest.Server
@@ -353,5 +354,15 @@ func TestCellEndpoint(t *testing.T) {
 
 	if code, body = post(t, marshal(cellRequest{Key: key + "-drifted", Spec: spec})); code != http.StatusConflict {
 		t.Errorf("key mismatch = %d (%s), want 409", code, body)
+	}
+
+	// A coordinator still on the v2 key layout (schema v2, a macro-block
+	// mode before the trailing prefetch/check flags) fails the same
+	// cross-check.
+	f := strings.Split(key, "|")
+	f[0] = "ninjagap-cell/v2"
+	v2Key := strings.Join(append(f[:len(f)-2:len(f)-2], "auto", f[len(f)-2], f[len(f)-1]), "|")
+	if code, body = post(t, marshal(cellRequest{Key: v2Key, Spec: spec})); code != http.StatusConflict {
+		t.Errorf("v2 key = %d (%s), want 409", code, body)
 	}
 }
