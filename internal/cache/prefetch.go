@@ -5,10 +5,14 @@ import "math/bits"
 // trackerCap is the stream-tracker capacity (entries, like real streamers).
 const trackerCap = 32
 
+// prefetchDegree is how many lines ahead of a confirmed stream the
+// prefetcher runs.
+const prefetchDegree = 2
+
 // prefetcher is a table-based stride prefetcher in the style of the L1/L2
 // streamers on the modeled parts: it tracks access streams per 4 KiB page,
 // detects a constant line-granular stride after two confirmations, and then
-// runs `degree` lines ahead of the demand stream.
+// runs prefetchDegree lines ahead of the demand stream.
 //
 // The tracker is a fixed array in round-robin insertion order, which with a
 // full table is exactly FIFO eviction: the slot inserted longest ago is the
@@ -16,8 +20,7 @@ const trackerCap = 32
 // removes the map and per-stream allocations from the demand path without
 // changing which streams exist or when they are evicted.
 type prefetcher struct {
-	degree    int
-	lineBytes uint64
+	lineShift uint // log2 of the line size
 
 	pages   [trackerCap]uint64 // page number per live slot
 	streams [trackerCap]stream
@@ -27,12 +30,11 @@ type prefetcher struct {
 	// Hot-path caches: demand streams stay on a handful of pages (one per
 	// live array) for many accesses, so a small direct-mapped cache of
 	// recently resolved streams short-circuits the tracker scan even when a
-	// kernel interleaves touches to several arrays; buf is the reused
-	// output slice (consumed before the next observe call).
+	// kernel interleaves touches to several arrays; buf backs the returned
+	// prefetch list (consumed before the next observe call).
 	lastPages   [streamSlots]uint64
 	lastStreams [streamSlots]*stream
-	buf         []uint64
-	lineShift   uint // log2(lineBytes) when a power of two (>1), else 0
+	buf         [prefetchDegree]uint64
 }
 
 // streamSlots sizes the resolved-stream cache (must be a power of two).
@@ -49,16 +51,8 @@ type stream struct {
 	confirmed int
 }
 
-func newPrefetcher(degree, lineBytes int) *prefetcher {
-	p := &prefetcher{
-		degree:    degree,
-		lineBytes: uint64(lineBytes),
-		buf:       make([]uint64, 0, degree),
-	}
-	if lb := uint64(lineBytes); lb > 1 && lb&(lb-1) == 0 {
-		p.lineShift = uint(bits.TrailingZeros64(lb))
-	}
-	return p
+func newPrefetcher(lineBytes int) *prefetcher {
+	return &prefetcher{lineShift: uint(bits.TrailingZeros(uint(lineBytes)))}
 }
 
 // reset forgets all streams (used when a pooled hierarchy is recycled).
@@ -86,12 +80,7 @@ func (p *prefetcher) cacheStream(page uint64, s *stream) {
 // The returned slice is reused by the next call.
 func (p *prefetcher) observe(addr uint64) []uint64 {
 	page := addr >> 12
-	var lineAddr uint64
-	if p.lineShift != 0 {
-		lineAddr = addr >> p.lineShift
-	} else {
-		lineAddr = addr / p.lineBytes
-	}
+	lineAddr := addr >> p.lineShift
 	s := p.cachedStream(page)
 	if s == nil {
 		for i := 0; i < p.live; i++ {
@@ -145,17 +134,16 @@ func (p *prefetcher) observe(addr uint64) []uint64 {
 	// Confirmed stream: prefetch degree lines ahead. Real streamers stop
 	// at page boundaries; we mirror that.
 	out := p.buf[:0]
-	for i := 1; i <= p.degree; i++ {
+	for i := 1; i <= prefetchDegree; i++ {
 		next := int64(lineAddr) + int64(i)*s.stride
 		if next < 0 {
 			break
 		}
-		na := uint64(next) * p.lineBytes
+		na := uint64(next) << p.lineShift
 		if na>>12 != page {
 			break
 		}
 		out = append(out, na)
 	}
-	p.buf = out
 	return out
 }

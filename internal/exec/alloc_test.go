@@ -33,8 +33,8 @@ func allocProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {
 }
 
 // interpProbeProg builds a program that drives the pure-interpreter hot
-// paths the threaded dispatcher owns: scalar loads and stores (the
-// LineCursor path), fusable load+arith / arith+store / compare+maskpush
+// paths the threaded dispatcher owns: scalar loads and stores (one
+// cache access each), fusable load+arith / arith+store / compare+maskpush
 // pairs, a masked if, and a data-dependent while loop — n scalar
 // iterations.
 func interpProbeProg(n int64) (*vm.Prog, func() map[string]*vm.Array) {

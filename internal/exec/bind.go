@@ -49,10 +49,6 @@ type bInstr struct {
 	next *bInstr
 	fuse uint8
 
-	// idx is the instruction's arena index; per-thread per-instruction
-	// state (the scalar-access line cursors) is keyed by it.
-	idx int32
-
 	// Register-file offsets (register index * vm.MaxLanes).
 	dst, a, b, c int
 
@@ -131,7 +127,6 @@ func (e *engine) bind(fp *vm.FlatProg) *boundProg {
 	for i := range fp.Instrs {
 		bi := &bp.instrs[i]
 		e.bindInstr(bi, &fp.Instrs[i])
-		bi.idx = int32(i)
 		bi.fn = handlerFor(bi.op)
 	}
 	if !e.opt.NoFuse {

@@ -24,7 +24,7 @@ type engine struct {
 	W         int
 	wMask     uint32 // (1<<W)-1: the full active mask
 	lineBytes int
-	lineMask  uint64 // ^(lineBytes-1) when lineBytes is a power of two, else 0
+	lineMask  uint64 // ^(lineBytes-1); machine.Validate makes lineBytes a power of two
 	bp        *boundProg
 	threads   []*threadCtx
 	pool      *sync.Pool
@@ -77,9 +77,7 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 		return nil, err
 	}
 	e := &engine{prog: prog, m: m, opt: opt, lineBytes: m.Caches[0].LineBytes}
-	if lb := uint64(e.lineBytes); lb&(lb-1) == 0 {
-		e.lineMask = ^(lb - 1)
-	}
+	e.lineMask = ^uint64(e.lineBytes - 1)
 	e.l1Latency = m.Caches[0].Latency
 	e.loadPort = m.Cost(machine.OpLoad).Port
 	e.storePort = m.Cost(machine.OpStore).Port
@@ -137,13 +135,7 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 }
 
 // lineOf rounds an address down to its cache-line base.
-func (e *engine) lineOf(addr uint64) uint64 {
-	if e.lineMask != 0 {
-		return addr & e.lineMask
-	}
-	lb := uint64(e.lineBytes)
-	return addr / lb * lb
-}
+func (e *engine) lineOf(addr uint64) uint64 { return addr & e.lineMask }
 
 // getThread takes a context from the pool (or builds one) and resets it to
 // the fresh-context state: zero registers, full mask, cold caches.
@@ -166,13 +158,6 @@ func (e *engine) getThread(id int, prefetch bool) *threadCtx {
 		clear(t.regs)
 	}
 	t.regBase = unsafe.Pointer(&t.regs[0])
-	ni := len(e.bp.instrs)
-	if cap(t.cursors) < ni {
-		t.cursors = make([]cache.LineCursor, ni)
-	} else {
-		t.cursors = t.cursors[:ni]
-		clear(t.cursors)
-	}
 	t.nFused = 0
 	t.mask = t.fullMask()
 	t.act = e.W

@@ -34,11 +34,6 @@ type threadCtx struct {
 	// superinstruction handlers; folded into the process-wide counter when
 	// the context is released (see fuse.go).
 	nFused uint64
-	// cursors is one cache.LineCursor per bound instruction: scalar loads
-	// and stores touch their line through the cursor, so tight scalar walks
-	// (merge loops, ray marches) that stay on one line skip the set probe
-	// and prefetcher table. Sized and cleared per run in getThread.
-	cursors []cache.LineCursor
 	// memLines is the distinct-line scratch of the slow memory paths
 	// (slowLoad/slowStore/gather/scatter). Living on the context, it is
 	// neither re-zeroed nor re-allocated per access — the paths track the

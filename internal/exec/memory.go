@@ -7,11 +7,12 @@ import (
 	"ninjagap/internal/machine"
 )
 
-// touchLineMLP simulates one demand cache access and charges miss stalls,
-// overlapping misses up to the given miss-level-parallelism factor. The
-// per-instruction mlp (reduced to 1 for carried loads — pointer chasing) is
-// pre-bound; carried vector gathers compute theirs from the live mask.
-func (t *threadCtx) touchLineMLP(lineAddr uint64, write bool, mlp float64) {
+// touch simulates one demand access to the line at lineAddr and charges
+// its miss stall, overlapping misses up to the given miss-level-parallelism
+// factor. The per-instruction mlp (reduced to 1 for carried loads — pointer
+// chasing) is pre-bound; carried vector gathers compute theirs from the
+// live mask.
+func (t *threadCtx) touch(lineAddr uint64, write bool, mlp float64) {
 	lvl, lat := t.hier.AccessCost(lineAddr, write)
 	if write {
 		// Store misses are absorbed by the store buffer and write-combining;
@@ -21,38 +22,29 @@ func (t *threadCtx) touchLineMLP(lineAddr uint64, write bool, mlp float64) {
 	if lvl == cache.L1 {
 		return // covered by the pipelined L1 latency
 	}
-	pen := lat - t.e.l1Latency
-	if pen > 0 {
+	if pen := lat - t.e.l1Latency; pen > 0 {
 		t.cost.stall += pen / mlp
 	}
 }
 
-// touchCursor is touchLineMLP through the instruction's per-thread line
-// cursor: the scalar load/store paths touch one line per access and very
-// often the same line many times in a row (merge runs, ray marches, tree
-// levels near the root), which the cursor's L1 fast path serves without a
-// set probe or prefetcher lookup — bit-identically, see cache.TouchLine.
-func (t *threadCtx) touchCursor(bi *bInstr, lineAddr uint64, write bool, mlp float64) {
-	lvl, lat := t.hier.TouchLine(&t.cursors[bi.idx], lineAddr, write)
-	if write || lvl == cache.L1 {
-		return
+// addLine records la in the distinct-line scratch of the slow memory paths
+// unless it is already among the first nl entries, and returns the new
+// count. The lines are touched afterwards in first-touch order.
+func (t *threadCtx) addLine(nl int, la uint64) int {
+	for _, x := range t.memLines[:nl] {
+		if x == la {
+			return nl
+		}
 	}
-	pen := lat - t.e.l1Latency
-	if pen > 0 {
-		t.cost.stall += pen / mlp
-	}
+	t.memLines[nl] = la
+	return nl + 1
 }
 
-// accessRun simulates the ascending duplicate-free line run [first, last]
-// of a contiguous vector access via the hierarchy's batched path,
-// accumulating read miss stalls in line order (bit-identical to per-line
-// touchLineMLP calls).
-func (t *threadCtx) accessRun(first, last uint64, write bool, mlp float64) {
-	n := 1
-	if last != first {
-		n += int((last - first) / uint64(t.e.lineBytes))
+// touchLines touches the first nl recorded distinct lines in order.
+func (t *threadCtx) touchLines(nl int, write bool, mlp float64) {
+	for _, la := range t.memLines[:nl] {
+		t.touch(la, write, mlp)
 	}
-	t.hier.AccessRun(first, n, write, t.e.l1Latency, mlp, &t.cost.stall)
 }
 
 func (t *threadCtx) boundsErr(bi *bInstr, idx int64) {
@@ -78,7 +70,7 @@ func (t *threadCtx) load(bi *bInstr, w int) {
 		d[0] = arr.Data[base]
 		t.cost.add(bi.ch)
 		t.cost.stall += bi.carriedStall
-		t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*eb), false, bi.mlp)
+		t.touch(t.e.lineOf(arr.Base+uint64(base)*eb), false, bi.mlp)
 		return
 	}
 
@@ -97,9 +89,10 @@ func (t *threadCtx) load(bi *bInstr, w int) {
 			t.cost.add(bi.chB) // realign penalty
 		}
 		t.cost.stall += bi.carriedStall
-		first := t.e.lineOf(arr.Base + uint64(base)*eb)
 		last := t.e.lineOf(arr.Base + uint64(base+int64(w)-1)*eb)
-		t.accessRun(first, last, false, bi.mlp)
+		for la := t.e.lineOf(arr.Base + uint64(base)*eb); la <= last; la += uint64(t.e.lineBytes) {
+			t.touch(la, false, bi.mlp)
+		}
 		return
 	}
 	t.slowLoad(bi, w, base)
@@ -111,7 +104,6 @@ func (t *threadCtx) slowLoad(bi *bInstr, w int, base int64) {
 	d := t.reg(bi.dst)
 	eb := bi.eb
 	stride := bi.stride
-	lines := &t.memLines
 	nl := 0
 	for l := 0; l < w; l++ {
 		if t.mask&(1<<uint(l)) == 0 {
@@ -124,18 +116,7 @@ func (t *threadCtx) slowLoad(bi *bInstr, w int, base int64) {
 			return
 		}
 		d[l] = arr.Data[idx]
-		la := t.e.lineOf(arr.Base + uint64(idx)*eb)
-		dup := false
-		for i := 0; i < nl; i++ {
-			if lines[i] == la {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			lines[nl] = la
-			nl++
-		}
+		nl = t.addLine(nl, t.e.lineOf(arr.Base+uint64(idx)*eb))
 	}
 
 	// Port cost by stride class (reverse strides behave like forward ones
@@ -158,9 +139,7 @@ func (t *threadCtx) slowLoad(bi *bInstr, w int, base int64) {
 		t.gatherCost(nl)
 	}
 	t.cost.stall += bi.carriedStall
-	for i := 0; i < nl; i++ {
-		t.touchLineMLP(lines[i], false, bi.mlp)
-	}
+	t.touchLines(nl, false, bi.mlp)
 }
 
 // store implements OpStore: lane l writes arr[base + l*stride] (masked).
@@ -177,7 +156,7 @@ func (t *threadCtx) store(bi *bInstr, w int) {
 		}
 		arr.Data[base] = v[0]
 		t.cost.add(bi.ch)
-		t.touchCursor(bi, t.e.lineOf(arr.Base+uint64(base)*eb), true, bi.mlp)
+		t.touch(t.e.lineOf(arr.Base+uint64(base)*eb), true, bi.mlp)
 		return
 	}
 
@@ -191,9 +170,10 @@ func (t *threadCtx) store(bi *bInstr, w int) {
 		}
 		copy(arr.Data[base:base+int64(w)], v[:w])
 		t.cost.add(bi.ch)
-		first := t.e.lineOf(arr.Base + uint64(base)*eb)
 		last := t.e.lineOf(arr.Base + uint64(base+int64(w)-1)*eb)
-		t.accessRun(first, last, true, bi.mlp)
+		for la := t.e.lineOf(arr.Base + uint64(base)*eb); la <= last; la += uint64(t.e.lineBytes) {
+			t.touch(la, true, bi.mlp)
+		}
 		return
 	}
 	t.slowStore(bi, w, base)
@@ -205,7 +185,6 @@ func (t *threadCtx) slowStore(bi *bInstr, w int, base int64) {
 	v := t.reg(bi.a)
 	eb := bi.eb
 	stride := bi.stride
-	lines := &t.memLines
 	nl := 0
 	for l := 0; l < w; l++ {
 		if t.mask&(1<<uint(l)) == 0 {
@@ -217,18 +196,7 @@ func (t *threadCtx) slowStore(bi *bInstr, w int, base int64) {
 			return
 		}
 		arr.Data[idx] = v[l]
-		la := t.e.lineOf(arr.Base + uint64(idx)*eb)
-		dup := false
-		for i := 0; i < nl; i++ {
-			if lines[i] == la {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			lines[nl] = la
-			nl++
-		}
+		nl = t.addLine(nl, t.e.lineOf(arr.Base+uint64(idx)*eb))
 	}
 	switch bi.memKind {
 	case memUnit:
@@ -244,9 +212,7 @@ func (t *threadCtx) slowStore(bi *bInstr, w int, base int64) {
 	default:
 		t.scatterCost(nl)
 	}
-	for i := 0; i < nl; i++ {
-		t.touchLineMLP(lines[i], true, bi.mlp)
-	}
+	t.touchLines(nl, true, bi.mlp)
 }
 
 // gather implements OpGather: lane l reads arr[idx.lane(l)].
@@ -256,7 +222,6 @@ func (t *threadCtx) gather(bi *bInstr, w int) {
 	d := t.reg(bi.dst)
 	eb := bi.eb
 
-	lines := &t.memLines
 	nl := 0
 	for l := 0; l < w; l++ {
 		if w > 1 && t.mask&(1<<uint(l)) == 0 {
@@ -269,18 +234,7 @@ func (t *threadCtx) gather(bi *bInstr, w int) {
 			return
 		}
 		d[l] = arr.Data[idx]
-		la := t.e.lineOf(arr.Base + uint64(idx)*eb)
-		dup := false
-		for i := 0; i < nl; i++ {
-			if lines[i] == la {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			lines[nl] = la
-			nl++
-		}
+		nl = t.addLine(nl, t.e.lineOf(arr.Base+uint64(idx)*eb))
 	}
 	t.gatherCost(nl)
 	t.cost.stall += bi.carriedStall
@@ -296,9 +250,7 @@ func (t *threadCtx) gather(bi *bInstr, w int) {
 			mlp = float64(act)
 		}
 	}
-	for i := 0; i < nl; i++ {
-		t.touchLineMLP(lines[i], false, mlp)
-	}
+	t.touchLines(nl, false, mlp)
 }
 
 // scatter implements OpScatter: lane l writes arr[idx.lane(l)] (masked).
@@ -308,7 +260,6 @@ func (t *threadCtx) scatter(bi *bInstr, w int) {
 	v := t.reg(bi.a)
 	eb := bi.eb
 
-	lines := &t.memLines
 	nl := 0
 	for l := 0; l < w; l++ {
 		if w > 1 && t.mask&(1<<uint(l)) == 0 {
@@ -320,23 +271,10 @@ func (t *threadCtx) scatter(bi *bInstr, w int) {
 			return
 		}
 		arr.Data[idx] = v[l]
-		la := t.e.lineOf(arr.Base + uint64(idx)*eb)
-		dup := false
-		for i := 0; i < nl; i++ {
-			if lines[i] == la {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			lines[nl] = la
-			nl++
-		}
+		nl = t.addLine(nl, t.e.lineOf(arr.Base+uint64(idx)*eb))
 	}
 	t.scatterCost(nl)
-	for i := 0; i < nl; i++ {
-		t.touchLineMLP(lines[i], true, bi.mlp)
-	}
+	t.touchLines(nl, true, bi.mlp)
 }
 
 // gatherCost charges the port cost of gathering from nl distinct lines.

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -66,5 +67,23 @@ func TestUnmarshalModelRejectsInvalid(t *testing.T) {
 	// Valid JSON, invalid model (no cores, no caches, no costs).
 	if _, err := UnmarshalModel([]byte(`{"name":"bogus"}`)); err == nil {
 		t.Error("structurally invalid model accepted")
+	}
+}
+
+// TestUnmarshalModelRejectsBadLineSize sends a model whose cache line size
+// is not a power of two through the wire codec, as a /v1/cell peer would.
+func TestUnmarshalModelRejectsBadLineSize(t *testing.T) {
+	m := KnightsFerry()
+	for i := range m.Caches {
+		m.Caches[i].LineBytes = 96
+		m.Caches[i].SizeBytes = 96 * m.Caches[i].Assoc * 64
+	}
+	b, err := MarshalModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = UnmarshalModel(b)
+	if err == nil || !strings.Contains(err.Error(), "cache L1 line size 96 is not a power of two") {
+		t.Errorf("UnmarshalModel = %v, want the line-size rejection", err)
 	}
 }

@@ -228,6 +228,13 @@ func (m *Machine) Validate() error {
 		if c.SizeBytes <= 0 || c.Assoc <= 0 || c.LineBytes <= 0 {
 			return fmt.Errorf("machine %s: cache %s has non-positive geometry", m.Name, c.Name)
 		}
+		if c.LineBytes&(c.LineBytes-1) != 0 {
+			return fmt.Errorf("machine %s: cache %s line size %d is not a power of two", m.Name, c.Name, c.LineBytes)
+		}
+		if c.LineBytes != m.Caches[0].LineBytes {
+			return fmt.Errorf("machine %s: cache %s line size %d differs from %s's %d",
+				m.Name, c.Name, c.LineBytes, m.Caches[0].Name, m.Caches[0].LineBytes)
+		}
 		if c.SizeBytes%(c.Assoc*c.LineBytes) != 0 {
 			return fmt.Errorf("machine %s: cache %s size %d not divisible by assoc*line", m.Name, c.Name, c.SizeBytes)
 		}

@@ -198,6 +198,33 @@ func TestValidateCatchesBadModels(t *testing.T) {
 	}
 }
 
+// The cache simulator indexes sets and the engine rounds addresses to
+// lines by masking, which is exact only for a power-of-two line size
+// shared by every level; Validate must reject anything else, naming the
+// offending cache.
+func TestValidateRejectsBadLineSizes(t *testing.T) {
+	cases := []struct {
+		name, want string
+		mut        func(*Machine)
+	}{
+		{"non-power-of-two line", "cache L2 line size 48 is not a power of two", func(m *Machine) {
+			m.Caches[1].LineBytes = 48
+			m.Caches[1].SizeBytes = 48 * 8 * 512
+		}},
+		{"mismatched line", "cache L3 line size 128 differs from L1's 64", func(m *Machine) {
+			m.Caches[2].LineBytes = 128
+		}},
+	}
+	for _, tc := range cases {
+		m := WestmereX980()
+		tc.mut(m)
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestCostOccupancy(t *testing.T) {
 	pip := Cost{RecipTput: 1, Latency: 5, Pipelined: true}
 	if got := pip.Occupancy(4); got != 1 {
