@@ -39,6 +39,15 @@ type engine struct {
 	hwGather, hwScatter bool
 
 	reduceInit []float64 // scratch for parallel-reduction init snapshots
+	cores      []coreAgg // flushSegment's per-core scratch, indexed by core
+}
+
+// coreAgg is one core's share of a segment: its threads' summed compute
+// and stall cycles and how many threads it runs.
+type coreAgg struct {
+	compute float64
+	stall   float64
+	k       int
 }
 
 // threadPools pools thread contexts (register file, mask stack, private
@@ -122,6 +131,7 @@ func newEngine(prog *vm.Prog, arrays map[string]*vm.Array, m *machine.Machine, o
 	if e.coresUsed > m.Cores {
 		e.coresUsed = m.Cores
 	}
+	e.cores = make([]coreAgg, e.coresUsed)
 	pf := m.Feat.HWPrefetch && !opt.DisablePrefetch
 	key := fmt.Sprintf("%016x|%d|%t", m.Fingerprint(), e.coresUsed, pf)
 	poolI, _ := threadPools.LoadOrStore(key, &sync.Pool{})
@@ -319,12 +329,8 @@ func (e *engine) runWorker(bi *bInstr, ti, n, T int64) {
 // accumulators, and folds statistics into the result.
 func (e *engine) flushSegment(threads []*threadCtx, parallel bool) {
 	// Per-core grouping: thread t runs on core t % coresUsed.
-	type coreAgg struct {
-		compute float64
-		stall   float64
-		k       int
-	}
-	cores := make(map[int]*coreAgg)
+	cores := e.cores
+	clear(cores)
 	var segBytes uint64
 	empty := true
 	for _, t := range threads {
@@ -332,11 +338,7 @@ func (e *engine) flushSegment(threads []*threadCtx, parallel bool) {
 		if c > 0 || t.cost.stall > 0 {
 			empty = false
 		}
-		ca := cores[t.id%e.coresUsed]
-		if ca == nil {
-			ca = &coreAgg{}
-			cores[t.id%e.coresUsed] = ca
-		}
+		ca := &cores[t.id%e.coresUsed]
 		ca.compute += c
 		ca.stall += t.cost.stall
 		ca.k++
@@ -352,9 +354,13 @@ func (e *engine) flushSegment(threads []*threadCtx, parallel bool) {
 	}
 
 	// SMT model: a core's threads share issue ports; stalls overlap with
-	// the sibling threads' compute. T_core = max(C, (C+S)/k).
+	// the sibling threads' compute. T_core = max(C, (C+S)/k). Cores are
+	// scanned in index order, so the lowest core wins a tie for critical.
 	var coreMax, critC float64
 	for _, ca := range cores {
+		if ca.k == 0 {
+			continue
+		}
 		tc := ca.compute
 		if alt := (ca.compute + ca.stall) / float64(ca.k); alt > tc {
 			tc = alt

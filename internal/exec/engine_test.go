@@ -96,6 +96,33 @@ func TestSMTComputeBoundNeutral(t *testing.T) {
 	}
 }
 
+// TestFlushSegmentTieIsDeterministic pins flushSegment's tie-break: when
+// two cores tie on segment time but split it differently between compute
+// and stall, the lowest core is the critical one on every run, so the
+// reported compute/stall split cannot depend on iteration order.
+func TestFlushSegmentTieIsDeterministic(t *testing.T) {
+	m := machine.WestmereX980()
+	arrays := map[string]*vm.Array{"out": vm.NewArray("out", 4, 64)}
+	for run := 0; run < 200; run++ {
+		e, err := newEngine(buildStream(64), arrays, m, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Core 0: 60 compute + 40 stall, T = max(60, (60+40)/1) = 100.
+		// Core 1: 100 compute, T = 100.
+		e.threads[0].cost.port[0], e.threads[0].cost.stall = 60, 40
+		e.threads[1].cost.port[0] = 100
+		e.flushSegment(e.threads, false)
+		e.finish()
+		e.releaseThreads()
+		r := e.res
+		if r.Cycles != 100 || r.ComputeCycles != 60 || r.StallCycles != 40 || r.BoundBy != "latency" {
+			t.Fatalf("run %d: cycles %v, compute %v, stall %v, bound by %s; want core 0's 100 = 60 compute + 40 stall, latency",
+				run, r.Cycles, r.ComputeCycles, r.StallCycles, r.BoundBy)
+		}
+	}
+}
+
 func TestWorkerErrorPropagates(t *testing.T) {
 	b := vm.NewBuilder("oob-par")
 	out := b.Array("out", 4)

@@ -92,6 +92,11 @@ func NewMemo() *Memo {
 // computation is persisted. Errors are never persisted — real errors
 // stay process-local by design, and context errors are not even cached
 // in memory.
+//
+// A computed measurement is reduced to its post-execution view
+// (postExecView) before it is stored, so an entry never pins the cell's
+// arrays, program or golden output: memory grows with the cells in
+// flight, not with the cells already measured.
 func (mo *Memo) do(ctx context.Context, key cellKey, f func() (*Measurement, error)) (*Measurement, error) {
 	for {
 		mo.mu.Lock()
@@ -115,7 +120,11 @@ func (mo *Memo) do(ctx context.Context, key cellKey, f func() (*Measurement, err
 				}
 			}
 			e.meas, e.err = f()
-			if e.err == nil && disk != nil {
+			if e.err != nil {
+				return
+			}
+			postExecView(e.meas)
+			if disk != nil {
 				disk.save(key, e.meas)
 			}
 		})

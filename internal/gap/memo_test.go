@@ -1,14 +1,19 @@
 package gap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ninjagap/internal/kernels"
 	"ninjagap/internal/machine"
+	"ninjagap/internal/vm"
 )
 
 // TestMemoKeysCostMutatedClone is the machineSig under-fingerprinting
@@ -213,5 +218,86 @@ func TestMemoRetriesAfterCancelledWinner(t *testing.T) {
 	}
 	if ecalls != 1 {
 		t.Errorf("real error computed %d times, want 1 (cached)", ecalls)
+	}
+}
+
+// finalizedBench wraps a suite benchmark and sets a finalizer on the
+// output array of the instance it prepares, so a test can observe when
+// the cell's arrays become unreachable.
+type finalizedBench struct {
+	kernels.Benchmark
+	freed chan struct{}
+}
+
+func (f *finalizedBench) Name() string { return "finalized" }
+
+func (f *finalizedBench) Prepare(v kernels.Version, m *machine.Machine, n int) (*kernels.Instance, error) {
+	inst, err := f.Benchmark.Prepare(v, m, n)
+	if err != nil {
+		return nil, err
+	}
+	runtime.SetFinalizer(inst.Arrays["out"], func(*vm.Array) { close(f.freed) })
+	return inst, nil
+}
+
+// TestMemoEntryDropsInstance pins what a memo entry retains: after the
+// reference check, the cell's program, arrays and check closure (which
+// captures the golden output) must be garbage, and the entry must hold
+// exactly what its disk encoding holds, so a long-lived memo does not
+// keep every measured cell's arrays alive.
+func TestMemoEntryDropsInstance(t *testing.T) {
+	stencil, err := kernels.ByName("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &finalizedBench{Benchmark: stencil, freed: make(chan struct{})}
+	c := Cell{Bench: b, Version: kernels.Naive, Machine: machine.WestmereX980(), N: LegalN(stencil, stencil.TestN())}
+	memo := NewMemo()
+	if _, err := NewScheduler(1, memo, false).Run(context.Background(), []Cell{c}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The memo stays live below, so only the entry can be what pins the
+	// array.
+	deadline := time.Now().Add(10 * time.Second)
+wait:
+	for {
+		runtime.GC()
+		select {
+		case <-b.freed:
+			break wait
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Error("the cell's output array is still reachable after its measurement was memoized")
+			break
+		}
+	}
+
+	key := c.key(false)
+	m := memo.entries[key].meas
+	if m.Inst == nil || m.Inst.Prog != nil || m.Inst.Arrays != nil || m.Inst.Check != nil {
+		t.Fatalf("memo entry instance = %+v, want the post-execution view (no Prog, Arrays or Check)", m.Inst)
+	}
+	if m.Inst.SourceStmts == 0 || m.Inst.Report == nil {
+		t.Errorf("memo entry lost SourceStmts (%d) or Report (%v)", m.Inst.SourceStmts, m.Inst.Report)
+	}
+	enc, err := encodeMeasurement(key.String(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeMeasurement(enc, key.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reenc, err := encodeMeasurement(key.String(), back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, reenc) {
+		t.Errorf("memo entry and its disk round trip encode differently:\n%s\n%s", enc, reenc)
+	}
+	if !reflect.DeepEqual(m, back) {
+		t.Errorf("memo entry %+v differs from its disk round trip %+v", m, back)
 	}
 }

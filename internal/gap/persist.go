@@ -117,21 +117,31 @@ func decodeMeasurement(b []byte, wantKey string) (*Measurement, error) {
 	if !ok {
 		return nil, fmt.Errorf("gap: cell entry names unknown version %q", e.Version)
 	}
-	return &Measurement{
+	return postExecView(&Measurement{
 		Bench:   e.Bench,
 		Version: v,
 		Machine: e.Machine,
 		N:       e.N,
 		Threads: e.Threads,
 		Res:     e.Result,
-		// Reconstruct the post-execution view of the instance: the
-		// fields drivers read (SourceStmts, Report) are restored; the
-		// consumed ones (Prog, Arrays, Check) stay nil.
-		Inst: &kernels.Instance{
-			Bench: e.Bench, Version: v, N: e.N,
-			SourceStmts: e.SourceStmts, Report: e.Report,
-		},
-	}, nil
+		Inst:    &kernels.Instance{SourceStmts: e.SourceStmts, Report: e.Report},
+	}), nil
+}
+
+// postExecView reduces m in place to its post-execution view and returns
+// it: the identity fields and Result, plus the two instance fields drivers
+// read after execution (SourceStmts, Report). The rest of the instance
+// (Prog, Arrays, Check, and through Check the golden output) is dropped,
+// so the view holds exactly what a cell entry encodes. Memo entries hold
+// this view whether the measurement was computed here, by a remote worker
+// or read from disk.
+func postExecView(m *Measurement) *Measurement {
+	view := &kernels.Instance{Bench: m.Bench, Version: m.Version, N: m.N}
+	if m.Inst != nil {
+		view.SourceStmts, view.Report = m.Inst.SourceStmts, m.Inst.Report
+	}
+	m.Inst = view
+	return m
 }
 
 // versionByName resolves a version by its String() name.

@@ -25,9 +25,9 @@ type token struct {
 }
 
 type lexer struct {
-	src   string
-	pos   int
-	line  int
+	src    string
+	pos    int
+	line   int
 	tokens []token
 }
 

@@ -77,7 +77,7 @@ func TestParseRejectsMalformedSource(t *testing.T) {
 		"kernel broken(",
 		"kernel k(f32 x[16]) {",
 		"kernel k(f32 x[16]) { x[0] = ; }",
-		"kernel k(f32 x[16]) { y[0] = 1; }",              // undeclared array
+		"kernel k(f32 x[16]) { y[0] = 1; }", // undeclared array
 		"kernel k(f32 x[16]) { x[0] = frobnicate(1); }",  // unknown builtin
 		"kernel k(f32 x[0]) { x[0] = 1; }",               // zero-length array
 		"kernel k(f32 x[16]) { #pragma wat\nx[0] = 1; }", // unknown pragma

@@ -56,11 +56,11 @@ func TestPeakGFlops(t *testing.T) {
 // same two flops per lane as the add+mul pipe pair.
 func TestPeakGFlopsPinned(t *testing.T) {
 	want := map[string]float64{
-		"Core2Quad":     2 * 4 * 2.66 * 4,  // 85.12
-		"NehalemI7":     2 * 4 * 3.2 * 4,   // 102.4
-		"WestmereX980":  2 * 4 * 3.33 * 6,  // 159.84
-		"KnightsFerry":  2 * 16 * 1.2 * 32, // 1228.8
-		"FutureWide":    2 * 8 * 3.0 * 16,  // 768
+		"Core2Quad":    2 * 4 * 2.66 * 4,  // 85.12
+		"NehalemI7":    2 * 4 * 3.2 * 4,   // 102.4
+		"WestmereX980": 2 * 4 * 3.33 * 6,  // 159.84
+		"KnightsFerry": 2 * 16 * 1.2 * 32, // 1228.8
+		"FutureWide":   2 * 8 * 3.0 * 16,  // 768
 	}
 	for _, m := range All() {
 		w, ok := want[m.Name]
